@@ -1,13 +1,19 @@
 """The full MOSAIC corpus workflow (Fig. 1: ① validity & dedup →
 ② merging → ③ categorization → ④ output).
 
-The pipeline is *streaming*: :func:`run_pipeline_stream` drives a lazy
-:class:`~repro.darshan.source.TraceSource` through two bounded-memory
-passes — scan/dedup (pass ①, no trace retained) and categorize (pass ②,
-only the selected heaviest traces, loaded with backpressure against the
-process pool) — so corpora larger than RAM are categorizable.  The
-original batch API, :func:`run_pipeline`, wraps an in-memory source and
-materializes the selected traces, preserving its historical contract.
+One driver runs the workflow.  The three public entry points are fronts
+onto it that differ only in where the corpus comes from and how pass ②
+is cut into pool tasks:
+
+* :func:`run_pipeline_stream` — a lazy
+  :class:`~repro.darshan.source.TraceSource`: a bounded-memory scan
+  (pass ①, no trace retained), then one reloaded trace per task, loaded
+  with backpressure against the process pool, so corpora larger than
+  RAM are categorizable;
+* :func:`run_pipeline_store` — a compiled columnar store: the scan
+  replays the trace index, and each task is a multi-trace slice;
+* :func:`run_pipeline` — an in-memory ``list[Trace]``, whose selected
+  traces stay materialized on the result (the historical batch API).
 
 Pass ② runs on the *resilient* executor
 (:func:`~repro.parallel.resilient.resilient_imap`): worker crashes
@@ -17,7 +23,9 @@ that repeatedly kill workers are quarantined as POISON.  With a
 ``journal_path``, every per-trace outcome is checkpointed to an
 append-only JSONL journal as it completes, so a killed run resumes
 (``resume=True``) exactly where it died; quarantined traces are listed
-in a ``<journal>.quarantine.json`` manifest.  See docs/ROBUSTNESS.md.
+in a ``<journal>.quarantine.json`` manifest.  The journal is per trace
+on every front, so a run started on one resumes on another.  See
+docs/ROBUSTNESS.md.
 
 A :class:`PipelineContext` threads configuration, error policy, and
 observability (per-stage wall-clock timings plus counters: traces
@@ -32,7 +40,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator
 
 from ..darshan.errors import (
     TraceFormatError,
@@ -41,12 +49,7 @@ from ..darshan.errors import (
 )
 from ..darshan.source import InMemorySource, TraceSource
 from ..darshan.trace import Trace
-from ..parallel.executor import (
-    MapOutcome,
-    ParallelConfig,
-    TaskFailure,
-    parallel_map,
-)
+from ..parallel.executor import ParallelConfig, TaskFailure
 from ..parallel.jobstore import JobStore
 from ..parallel.resilient import resilient_imap
 from ..parallel.retry import FailureKind, RetryPolicy, backoff_delay
@@ -73,14 +76,8 @@ __all__ = [
 #: Worker-function decorator slot type (chaos injection, tracing, ...).
 WorkerWrapper = Callable[[Callable[[Any], Any]], Callable[[Any], Any]]
 
-
-def _trace_cost(trace: Trace) -> float:
-    """LPT cost estimate: record count dominates categorization time."""
-    return float(len(trace.records)) + 1e-9 * trace.total_bytes
-
-
-def _default_parallel() -> ParallelConfig:
-    return ParallelConfig(max_workers=0, cost=_trace_cost)
+#: Default execution: serial, in process.
+_SERIAL = ParallelConfig(max_workers=0)
 
 
 @dataclass(slots=True)
@@ -96,7 +93,7 @@ class PipelineContext:
     """
 
     config: MosaicConfig = DEFAULT_CONFIG
-    parallel: ParallelConfig = field(default_factory=_default_parallel)
+    parallel: ParallelConfig = _SERIAL
     repair: bool = False
     error_policy: str = "collect"
     wrap_worker: WorkerWrapper | None = None
@@ -203,16 +200,27 @@ def _count_degradation(
         ctx.count("n_degraded", total)
 
 
-def _scan_stage(source: TraceSource, ctx: PipelineContext) -> SelectionPlan:
+def _context(
+    context: PipelineContext | None,
+    config: MosaicConfig,
+    parallel: ParallelConfig | None,
+    repair: bool,
+) -> PipelineContext:
+    return context or PipelineContext(
+        config=config, parallel=parallel or _SERIAL, repair=repair
+    )
+
+
+def _scan_stage(
+    ctx: PipelineContext, scan: Callable[..., SelectionPlan], corpus: Any
+) -> SelectionPlan:
     """Pass ① plus its bookkeeping."""
-    bytes_before = source.bytes_read
     with ctx.stage("scan"):
-        plan = scan_corpus(source, repair=ctx.repair)
+        plan = scan(corpus, repair=ctx.repair)
     ctx.count("traces_scanned", plan.n_input)
     ctx.count("n_corrupted", plan.n_corrupted)
     ctx.count("n_unreadable", plan.n_unreadable)
     ctx.count("n_repaired", plan.n_repaired)
-    ctx.count("scan_bytes_read", source.bytes_read - bytes_before)
     # the scan's only retained state: one small ref per application
     ctx.gauge("dedup_state_size", plan.n_selected)
     return plan
@@ -234,19 +242,23 @@ class _LoadFailure:
     message: str
 
 
-_Payload = Union[Trace, _LoadFailure]
+def _categorize_task(item: Any, config: MosaicConfig) -> list[CategorizationResult]:
+    """Worker-side entry: one result per trace the task covers.
 
-
-def _categorize_payload(
-    payload: _Payload, config: MosaicConfig
-) -> CategorizationResult:
-    """Worker-side entry: categorize a trace, or surface its load error."""
-    if isinstance(payload, _LoadFailure):
+    A trace is a one-trace task and a store slice covers its rows.  A
+    :class:`_LoadFailure` raises, failing only its own trace.
+    """
+    if isinstance(item, _LoadFailure):
         raise TraceUnavailableError(
-            f"trace {payload.job_id} unreadable after retries: "
-            f"{payload.error_type}: {payload.message}"
+            f"trace {item.job_id} unreadable after retries: "
+            f"{item.error_type}: {item.message}"
         )
-    return categorize_trace(payload, config)
+    if isinstance(item, Trace):
+        return [categorize_trace(item, config)]
+    # Imported lazily: repro.columnar imports from repro.core.
+    from ..columnar.batch import categorize_slice
+
+    return categorize_slice(item, config)
 
 
 def _load_with_retry(
@@ -254,7 +266,7 @@ def _load_with_retry(
     entry: SelectedRef,
     policy: RetryPolicy,
     ctx: PipelineContext,
-) -> _Payload:
+) -> Trace | _LoadFailure:
     """Reload one selected trace, retrying transient read failures.
 
     The scan already decoded this trace once, so a failure here is
@@ -280,54 +292,29 @@ def _load_with_retry(
                 time.sleep(delay)
 
 
-def _failure_from_record(record: dict[str, Any], index: int) -> TaskFailure:
-    """Rehydrate a journaled failure for a resumed run."""
-    raw_kind = str(record.get("failure_kind", FailureKind.EXCEPTION.value))
-    try:
-        kind = FailureKind(raw_kind)
-    except ValueError:
-        kind = FailureKind.EXCEPTION
-    return TaskFailure(
-        index=index,
-        error_type=str(record.get("error_type", "")),
-        message=str(record.get("message", "")),
-        traceback_text="",
-        kind=kind,
-        qualname=str(record.get("error_type", "")),
-        attempts=int(record.get("attempts", 1)),
-    )
-
-
 def _open_jobstore(
     journal_path: str | os.PathLike[str],
     resume: bool,
     n_selected: int,
     ctx: PipelineContext,
-) -> tuple[
-    JobStore, dict[int, CategorizationResult], dict[int, TaskFailure]
-]:
-    """Open the journal-backed job store and rehydrate resumed state.
+) -> tuple[JobStore, dict[int, CategorizationResult], set[int]]:
+    """Open the journal-backed job store and rehydrate resumed state:
+    the saved results, and the job ids a previous run quarantined.
 
     The core-layer shim over :class:`~repro.parallel.jobstore.JobStore`:
     the parallel layer traffics in plain dicts, so converting journaled
-    payloads back into :class:`CategorizationResult`/:class:`TaskFailure`
-    happens here, once, for both pipeline paths.
+    payloads back into :class:`CategorizationResult` happens here.
     """
     jobstore = JobStore(journal_path, resume=resume, on_settle=ctx.on_settle)
     state = jobstore.open(n_selected=n_selected)
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if jobstore.resuming:
-        resumed_results = {
-            job_id: CategorizationResult.from_dict(payload)
-            for job_id, payload in state.completed.items()
-        }
-        resumed_failures = {
-            job_id: _failure_from_record(record, index=-1)
-            for job_id, record in state.quarantined.items()
-        }
-        ctx.count("n_journal_malformed", state.n_malformed)
-    return jobstore, resumed_results, resumed_failures
+    if not jobstore.resuming:
+        return jobstore, {}, set()
+    ctx.count("n_journal_malformed", state.n_malformed)
+    resumed = {
+        job_id: CategorizationResult.from_dict(payload)
+        for job_id, payload in state.completed.items()
+    }
+    return jobstore, resumed, set(state.quarantined)
 
 
 def _settle_failure(
@@ -349,6 +336,139 @@ def _settle_failure(
             trace_key=trace_key,
             attempts=outcome.attempts,
         )
+
+
+#: ``(slot, entry)`` pairs: selected traces with their index into
+#: ``plan.selected``, which is the result order.
+_Members = list[tuple[int, SelectedRef]]
+#: Settles one trace without the pool (a result-cache hit):
+#: ``(slot, entry, result, payload)``.
+_Settle = Callable[[int, SelectedRef, CategorizationResult, dict[str, Any]], None]
+#: A front's task planner: pending members in, ``(members, item)`` pool
+#: tasks out; the worker returns one result per member of ``item``.
+_Planner = Callable[[_Members, _Settle], Iterable[tuple[_Members, Any]]]
+
+
+def _source_key(entry: SelectedRef) -> str:
+    return str(entry.ref.key)
+
+
+def _run_pipeline(
+    ctx: PipelineContext,
+    plan: SelectionPlan,
+    t0: float,
+    plan_tasks: _Planner,
+    trace_key: Callable[[SelectedRef], str] = _source_key,
+    *,
+    journal_path: str | os.PathLike[str] | None = None,
+    resume: bool = False,
+    on_result: Callable[[SelectedRef, dict[str, Any]], None] | None = None,
+    selected: list[Trace] | None = None,
+) -> PipelineResult:
+    """Pass ② and the run's bookkeeping: the driver behind every front.
+
+    Traces a resumed journal already settled keep their saved outcome;
+    the rest go to ``plan_tasks`` and through :func:`resilient_imap`.
+    A task fails as a unit, so its failure is journaled once per member
+    trace under ``trace_key``.  ``on_result`` receives the payload of
+    every result the pool returns.  ``selected`` materializes
+    :attr:`PreprocessResult.selected` for the batch API.
+    """
+    jobstore: JobStore | None = None
+    resumed_results: dict[int, CategorizationResult] = {}
+    quarantined: set[int] = set()
+    if journal_path is not None:
+        jobstore, resumed_results, quarantined = _open_jobstore(
+            journal_path, resume, plan.n_selected, ctx
+        )
+    encode = jobstore is not None or on_result is not None
+
+    slots: list[CategorizationResult | None] = [None] * len(plan.selected)
+    n_failures = 0
+    members: dict[int, _Members] = {}
+    inflight = 0
+    peak = 0
+
+    def settle(
+        slot: int,
+        entry: SelectedRef,
+        result: CategorizationResult,
+        payload: dict[str, Any],
+    ) -> None:
+        slots[slot] = result
+        if jobstore is not None:
+            jobstore.settle_result(entry.job_id, payload)
+
+    def draw(tasks: Iterable[tuple[_Members, Any]]) -> Iterator[Any]:
+        nonlocal inflight, peak
+        for index, (task, item) in enumerate(tasks):
+            members[index] = task
+            inflight += len(task)
+            peak = max(peak, inflight)
+            yield item
+
+    try:
+        with ctx.stage("categorize"):
+            pending: _Members = []
+            for slot, entry in enumerate(plan.selected):
+                if entry.job_id in resumed_results:
+                    slots[slot] = resumed_results[entry.job_id]
+                elif entry.job_id in quarantined:
+                    n_failures += 1
+                else:
+                    pending.append((slot, entry))
+            ctx.count("n_resumed", len(plan.selected) - len(pending))
+
+            fn: Callable[[Any], Any] = functools.partial(
+                _categorize_task, config=ctx.config
+            )
+            if ctx.wrap_worker is not None:
+                fn = ctx.wrap_worker(fn)
+            stream = resilient_imap(
+                fn,
+                draw(plan_tasks(pending, settle)),  # mosaic: disable=MOS016 (task bookkeeping)
+                ctx.parallel,
+                policy=ctx.retry_policy(),
+                on_count=ctx.count,
+            )
+
+            for index, outcome in stream:
+                task = members.pop(index)
+                inflight -= len(task)
+                if isinstance(outcome, TaskFailure):
+                    if ctx.error_policy == "raise":
+                        raise RuntimeError(f"categorization failed: {outcome}")
+                    n_failures += len(task)
+                    for _slot, entry in task:
+                        _settle_failure(  # mosaic: disable=MOS016 (bookkeeping, not analysis)
+                            jobstore, ctx, entry.job_id, outcome, trace_key(entry)
+                        )
+                    continue
+                for (slot, entry), result in zip(task, outcome):
+                    payload = result.to_dict() if encode else {}
+                    settle(slot, entry, result, payload)  # mosaic: disable=MOS016 (bookkeeping)
+                    if on_result is not None:
+                        on_result(entry, payload)
+    finally:
+        if jobstore is not None:
+            jobstore.close()
+
+    results = [r for r in slots if r is not None]
+    ctx.count("n_selected", plan.n_selected)
+    ctx.count("n_failures", n_failures)
+    _count_degradation(ctx, results)
+    ctx.gauge("peak_inflight_traces", peak)
+    ctx.timings["total_s"] = time.perf_counter() - t0
+    # historical stage name, kept for dashboards and the benchmarks
+    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
+
+    return PipelineResult(
+        preprocess=plan.to_result(selected),
+        results=results,
+        n_failures=n_failures,
+        timings=dict(ctx.timings),
+        metrics=dict(ctx.counters),
+    )
 
 
 def run_pipeline_stream(
@@ -377,98 +497,22 @@ def run_pipeline_stream(
     policy, inject a worker wrapper, or share one metrics sink across
     runs; otherwise one is built from the arguments.
     """
-    ctx = context or PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
+    ctx = _context(context, config, parallel, repair)
     t0 = time.perf_counter()
-    plan = _scan_stage(source, ctx)
+    bytes_before = source.bytes_read
+    plan = _scan_stage(ctx, scan_corpus, source)
+    ctx.count("scan_bytes_read", source.bytes_read - bytes_before)
     policy = ctx.retry_policy()
 
-    # -- journal / resume bookkeeping (shared JobStore contract) -------
-    jobstore: JobStore | None = None
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if journal_path is not None:
-        jobstore, resumed_results, resumed_failures = _open_jobstore(
-            journal_path, resume, plan.n_selected, ctx
-        )
+    def tasks(pending: _Members, _settle: _Settle) -> Iterator[tuple[_Members, Any]]:
+        # loaded lazily, as the pool draws them: backpressure
+        loaded_before = source.bytes_read
+        for member in pending:
+            yield [member], _load_with_retry(source, member[1], policy, ctx)
+        ctx.count("categorize_bytes_read", source.bytes_read - loaded_before)
 
-    bytes_before = source.bytes_read
-    failures: list[TaskFailure] = []
-    slots: list[CategorizationResult | None] = [None] * len(plan.selected)
-    try:
-        with ctx.stage("categorize"):
-            pending: list[tuple[int, SelectedRef]] = []
-            for slot, entry in enumerate(plan.selected):
-                if entry.job_id in resumed_results:
-                    slots[slot] = resumed_results[entry.job_id]
-                elif entry.job_id in resumed_failures:
-                    failures.append(resumed_failures[entry.job_id])
-                else:
-                    pending.append((slot, entry))
-            ctx.count("n_resumed", len(plan.selected) - len(pending))
-
-            inflight = 0
-            peak = 0
-
-            def load_stream() -> Iterator[_Payload]:
-                nonlocal inflight, peak
-                for _slot, entry in pending:
-                    inflight += 1
-                    peak = max(peak, inflight)
-                    yield _load_with_retry(source, entry, policy, ctx)
-
-            fn: Callable[[Any], Any] = functools.partial(
-                _categorize_payload, config=ctx.config
-            )
-            if ctx.wrap_worker is not None:
-                fn = ctx.wrap_worker(fn)
-            stream = resilient_imap(
-                fn,
-                load_stream(),
-                ctx.parallel,
-                policy=policy,
-                on_count=ctx.count,
-            )
-
-            for index, outcome in stream:
-                inflight -= 1
-                slot, entry = pending[index]
-                if isinstance(outcome, TaskFailure):
-                    if ctx.error_policy == "raise":
-                        raise RuntimeError(f"categorization failed: {outcome}")
-                    failures.append(outcome)
-                    _settle_failure(  # mosaic: disable=MOS016 (bookkeeping, not analysis)
-                        jobstore, ctx, entry.job_id, outcome, str(entry.ref.key)
-                    )
-                else:
-                    slots[slot] = outcome
-                    if jobstore is not None:
-                        jobstore.settle_result(entry.job_id, outcome.to_dict())
-    finally:
-        if jobstore is not None:
-            jobstore.close()
-
-    results = [r for r in slots if r is not None]
-    failures.sort(key=lambda f: f.index)
-
-    ctx.count("n_selected", plan.n_selected)
-    ctx.count("n_failures", len(failures))
-    _count_degradation(ctx, results)
-    ctx.count("categorize_bytes_read", source.bytes_read - bytes_before)
-    ctx.gauge("peak_inflight_traces", peak)
-    ctx.timings["total_s"] = time.perf_counter() - t0
-    # historical stage names, kept for dashboards and the benchmarks
-    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
-
-    return PipelineResult(
-        preprocess=plan.to_result(None),
-        results=results,
-        n_failures=len(failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
+    return _run_pipeline(
+        ctx, plan, t0, tasks, journal_path=journal_path, resume=resume
     )
 
 
@@ -508,168 +552,62 @@ def run_pipeline_store(
     """
     # Imported lazily: repro.columnar imports from repro.core, so a
     # module-level import would cycle.
-    from ..columnar.batch import categorize_slice, plan_slices
+    from ..columnar.batch import plan_slices
     from ..columnar.scan import scan_store
-    from ..columnar.store import StoreSlice, attach
+    from ..columnar.store import attach
 
-    ctx = context or PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
+    ctx = _context(context, config, parallel, repair)
     t0 = time.perf_counter()
     # Attached via the per-process cache: repeat runs and resumed
     # runs reuse one verified read-only mapping instead of paying
     # open + CRC sweep per invocation; workers reattach the same way.
     store = attach(store_path, verify=True)
-    with ctx.stage("scan"):
-        plan = scan_store(store, repair=ctx.repair)
-    ctx.count("traces_scanned", plan.n_input)
-    ctx.count("n_corrupted", plan.n_corrupted)
-    ctx.count("n_unreadable", plan.n_unreadable)
-    ctx.count("n_repaired", plan.n_repaired)
-    ctx.gauge("dedup_state_size", plan.n_selected)
-    policy = ctx.retry_policy()
+    plan = _scan_stage(ctx, scan_store, store)
+    cache: Any = ctx.result_cache
+    trace_crcs = getattr(store, "trace_crcs", None) if cache is not None else None
+    cache_keys: dict[int, str] = {}
 
-    # -- journal / resume bookkeeping (same contract as the stream
-    # path; records stay per trace even though work ships per slice)
-    jobstore: JobStore | None = None
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if journal_path is not None:
-        jobstore, resumed_results, resumed_failures = _open_jobstore(
-            journal_path, resume, plan.n_selected, ctx
-        )
-
-    failures: list[TaskFailure] = []
-    slots: list[CategorizationResult | None] = [None] * len(plan.selected)
-    try:
-        with ctx.stage("categorize"):
-            pending: list[tuple[int, SelectedRef]] = []
-            for slot, entry in enumerate(plan.selected):
-                if entry.job_id in resumed_results:
-                    slots[slot] = resumed_results[entry.job_id]
-                elif entry.job_id in resumed_failures:
-                    failures.append(resumed_failures[entry.job_id])
+    def tasks(pending: _Members, settle: _Settle) -> Iterator[tuple[_Members, Any]]:
+        # Content-addressed result cache: a trace whose CRC chain (plus
+        # config/repair namespace, baked into the cache) was categorized
+        # before is served its saved payload without re-running any
+        # kernel.  Hits are still journaled, so resume and byte-identity
+        # hold regardless of cache state.
+        if trace_crcs is not None:
+            uncached: _Members = []
+            for slot, entry in pending:
+                row = int(entry.ref.key)
+                key = cache_keys[row] = cache.trace_key(int(trace_crcs[row]))
+                payload = cache.get(key)
+                if payload is None:
+                    ctx.count("n_cache_misses")
+                    uncached.append((slot, entry))
                 else:
-                    pending.append((slot, entry))
-            ctx.count("n_resumed", len(plan.selected) - len(pending))
-
-            # -- content-addressed result cache: a trace whose CRC chain
-            # (plus config/repair namespace, baked into the cache) was
-            # categorized before is served its saved payload without
-            # re-running any kernel.  Hits are still journaled, so
-            # resume and byte-identity hold regardless of cache state.
-            cache = ctx.result_cache
-            trace_crcs = getattr(store, "trace_crcs", None)
-            cache_keys: dict[int, str] = {}
-            if cache is not None and trace_crcs is not None:
-                uncached: list[tuple[int, SelectedRef]] = []
-                for slot, entry in pending:
-                    row = int(entry.ref.key)
-                    key = cache.trace_key(int(trace_crcs[row]))
-                    cache_keys[row] = key
-                    payload = cache.get(key)
-                    if payload is None:
-                        ctx.count("n_cache_misses")
-                        uncached.append((slot, entry))
-                        continue
                     ctx.count("n_cache_hits")
-                    slots[slot] = CategorizationResult.from_dict(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
-                        payload
-                    )
-                    if jobstore is not None:
-                        jobstore.settle_result(entry.job_id, payload)
-                pending = uncached
+                    settle(slot, entry, CategorizationResult.from_dict(payload), payload)
+            pending = uncached
+        by_row = {int(entry.ref.key): (slot, entry) for slot, entry in pending}
+        slices = plan_slices(
+            store,
+            list(by_row),
+            budget=ctx.config.budget,
+            **({"target_ops": slice_ops} if slice_ops is not None else {}),
+        )
+        ctx.count("n_slices", len(slices))
+        return (([by_row[row] for row in task.rows], task) for task in slices)
 
-            by_row = {
-                int(entry.ref.key): (slot, entry)
-                for slot, entry in pending
-            }
-            slices = plan_slices(
-                store,
-                [int(entry.ref.key) for _slot, entry in pending],
-                budget=ctx.config.budget,
-                **(
-                    {"target_ops": slice_ops}
-                    if slice_ops is not None
-                    else {}
-                ),
-            )
-            ctx.count("n_slices", len(slices))
+    def cache_put(entry: SelectedRef, payload: dict[str, Any]) -> None:
+        cache.put(cache_keys[int(entry.ref.key)], payload)
 
-            inflight = 0
-            peak = 0
-
-            def slice_stream() -> Iterator[StoreSlice]:
-                nonlocal inflight, peak
-                for task in slices:
-                    inflight += len(task)
-                    peak = max(peak, inflight)
-                    yield task
-
-            fn: Callable[[Any], Any] = functools.partial(
-                categorize_slice, config=ctx.config
-            )
-            if ctx.wrap_worker is not None:
-                fn = ctx.wrap_worker(fn)
-            stream = resilient_imap(
-                fn,
-                slice_stream(),
-                ctx.parallel,
-                policy=policy,
-                on_count=ctx.count,
-            )
-
-            for index, outcome in stream:
-                task = slices[index]
-                inflight -= len(task)
-                if isinstance(outcome, TaskFailure):
-                    if ctx.error_policy == "raise":
-                        raise RuntimeError(
-                            f"categorization failed: {outcome}"
-                        )
-                    # the slice failed as a unit; journal and count
-                    # one per-trace failure for each member
-                    for row in task.rows:
-                        _slot, entry = by_row[row]
-                        failures.append(outcome)
-                        _settle_failure(  # mosaic: disable=MOS016 (bookkeeping, not analysis)
-                            jobstore,
-                            ctx,
-                            entry.job_id,
-                            outcome,
-                            f"{store.path}#{row}",
-                        )
-                else:
-                    for row, result in zip(task.rows, outcome):
-                        slot, entry = by_row[row]
-                        slots[slot] = result
-                        payload = result.to_dict()
-                        if jobstore is not None:
-                            jobstore.settle_result(entry.job_id, payload)
-                        if cache is not None and row in cache_keys:
-                            cache.put(cache_keys[row], payload)
-    finally:
-        if jobstore is not None:
-            jobstore.close()
-
-    results = [r for r in slots if r is not None]
-    failures.sort(key=lambda f: f.index)
-
-    ctx.count("n_selected", plan.n_selected)
-    ctx.count("n_failures", len(failures))
-    _count_degradation(ctx, results)
-    ctx.gauge("peak_inflight_traces", peak)
-    ctx.timings["total_s"] = time.perf_counter() - t0
-    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
-
-    return PipelineResult(
-        preprocess=plan.to_result(None),
-        results=results,
-        n_failures=len(failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
+    return _run_pipeline(
+        ctx,
+        plan,
+        t0,
+        tasks,
+        lambda entry: f"{store.path}#{int(entry.ref.key)}",
+        journal_path=journal_path,
+        resume=resume,
+        on_result=cache_put if trace_crcs is not None else None,
     )
 
 
@@ -682,10 +620,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run MOSAIC end to end over an in-memory corpus of traces.
 
-    Thin batch wrapper over the streaming machinery: the corpus is
-    wrapped in an :class:`~repro.darshan.source.InMemorySource`, pass ②
-    materializes the selected traces (they are already resident), and
-    categorization uses the cost-ordered (LPT) batch map.
+    The batch front: the corpus is wrapped in an
+    :class:`~repro.darshan.source.InMemorySource`, the selected traces
+    are materialized on :attr:`PipelineResult.preprocess` (they are
+    already resident), and each is one task on the resilient executor.
 
     ``parallel`` defaults to serial execution (``max_workers=0``), the
     right choice for small corpora and tests; pass
@@ -693,36 +631,13 @@ def run_pipeline(
     paper's Dispy deployment.
     """
     source = InMemorySource(traces)
-    ctx = PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
+    ctx = _context(None, config, parallel, repair)
     t0 = time.perf_counter()
-    with ctx.stage("preprocess"):
-        plan = scan_corpus(source, repair=ctx.repair)
+    plan = _scan_stage(ctx, scan_corpus, source)
+    with ctx.stage("scan"):
         selected = [load_selected(source, entry) for entry in plan.selected]
-    ctx.count("traces_scanned", plan.n_input)
-    ctx.count("n_corrupted", plan.n_corrupted)
-    ctx.count("n_repaired", plan.n_repaired)
-    ctx.count("n_selected", plan.n_selected)
 
-    with ctx.stage("categorize"):
-        outcome: MapOutcome[CategorizationResult] = parallel_map(
-            functools.partial(categorize_trace, config=ctx.config),
-            selected,
-            ctx.parallel,
-        )
-        if ctx.error_policy == "raise":
-            outcome.raise_if_failed()
-    ctx.count("n_failures", len(outcome.failures))
-    _count_degradation(ctx, outcome.successful())
-    ctx.timings["total_s"] = time.perf_counter() - t0
+    def tasks(pending: _Members, _settle: _Settle) -> Iterator[tuple[_Members, Any]]:
+        return (([member], selected[member[0]]) for member in pending)
 
-    return PipelineResult(
-        preprocess=plan.to_result(selected),
-        results=outcome.successful(),
-        n_failures=len(outcome.failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
-    )
+    return _run_pipeline(ctx, plan, t0, tasks, selected=selected)

@@ -1,12 +1,11 @@
-"""Crash-surviving streaming map: the resilient corpus execution engine.
+"""Crash-surviving streaming map: the corpus execution engine.
 
-:func:`~repro.parallel.executor.parallel_imap` isolates *polite*
-failures — a mapped function that raises becomes a
-:class:`~repro.parallel.executor.TaskFailure`.  At fleet scale the
-impolite ones dominate: a worker killed by the OOM killer or a segfault
-raises ``BrokenProcessPool`` and aborts the whole run, and a hung decode
-stalls it forever.  :func:`resilient_imap` provides the same streaming
-contract but survives all four failure classes of the
+A mapped function that raises is the *polite* failure: it becomes a
+:class:`~repro.parallel.executor.TaskFailure` for that item alone.  At
+fleet scale the impolite ones dominate: a worker killed by the OOM
+killer or a segfault raises ``BrokenProcessPool``, which would abort a
+plain pool map, and a hung decode would stall it forever.
+:func:`resilient_imap` survives all four failure classes of the
 :class:`~repro.parallel.retry.FailureKind` taxonomy:
 
 * **EXCEPTION** — transient error classes (see
@@ -150,11 +149,16 @@ def resilient_imap(
 ) -> Iterator[tuple[int, R | TaskFailure]]:
     """Streaming fault-isolated map that survives crashes and hangs.
 
-    Same contract as :func:`~repro.parallel.executor.parallel_imap` —
-    lazy consumption with backpressure, ``(index, result_or_failure)``
-    pairs in completion order — plus the recovery behaviour described in
-    the module docstring.  ``policy`` defaults to
-    ``config.retry_policy()``; ``on_count`` receives recovery counters.
+    Consumes ``items`` lazily: at most
+    :meth:`~repro.parallel.executor.ParallelConfig.resolved_pending`
+    items are drawn and unfinished at any moment, so a generator that
+    loads traces from disk never races ahead of the workers.  Yields
+    ``(index, result_or_failure)`` pairs — in input order when serial,
+    in completion order with a pool — where ``index`` is the item's
+    position in ``items``; recovery follows the module docstring.  With
+    ``max_workers=0`` everything runs in process, so ``fn`` need not be
+    picklable.  ``policy`` defaults to ``config.retry_policy()``;
+    ``on_count`` receives recovery counters.
     """
     cfg = config or ParallelConfig()
     pol = policy if policy is not None else cfg.retry_policy()

@@ -475,28 +475,30 @@ class MosaicServer:
                 await self._loop.run_in_executor(
                     self._job_executor, self._execute, job
                 )
-                job.status = "done"
+                status = "done"
             except StorageError as exc:
-                job.status = "storage-failed"
+                status = "storage-failed"
                 job.error = str(exc)
             except Exception as exc:  # noqa: BLE001 - job isolation
-                job.status = "failed"
+                status = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
+            # The job stays "running" until its finished event is
+            # durable: a graceful drain waits for running jobs, so it
+            # cannot tear the registry down under this append.
             await self._loop.run_in_executor(
                 None,
                 self._register,
                 {
                     "event": "finished",
                     "job_id": job.job_id,
-                    "status": job.status,
+                    "status": status,
                     "error": job.error,
                     "n_results": job.n_results,
                     "n_failures": job.n_failures,
                 },
             )
-            self._publish(
-                job.job_id, {"event": "finished", "status": job.status}
-            )
+            job.status = status
+            self._publish(job.job_id, {"event": "finished", "status": status})
             self._queue.task_done()
 
     # -- health ---------------------------------------------------------

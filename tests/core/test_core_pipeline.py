@@ -1,7 +1,9 @@
 """Unit tests for the corpus pipeline (Fig. 1 end to end)."""
 
 
-from repro.core import Category, run_pipeline
+from repro.columnar import compile_corpus
+from repro.core import Category, run_pipeline, run_pipeline_store, run_pipeline_stream
+from repro.darshan import InMemorySource
 from repro.parallel import ParallelConfig
 
 from tests.conftest import make_record, make_trace
@@ -43,10 +45,18 @@ class TestRunPipeline:
         assert result.preprocess.n_corrupted == 1
         assert all(r.job_id != 999 for r in result.results)
 
-    def test_timings_recorded(self):
-        result = run_pipeline(app_runs(1, "a", 2))
-        assert set(result.timings) == {"preprocess_s", "categorize_s", "total_s"}
-        assert result.timings["total_s"] >= 0.0
+    def test_timings_recorded(self, tmp_path):
+        traces = app_runs(1, "a", 2)
+        store = tmp_path / "corpus.mosc"
+        compile_corpus(InMemorySource(traces), store)
+        # one driver behind every front: the same stage keys everywhere
+        for result in (
+            run_pipeline(traces),
+            run_pipeline_stream(InMemorySource(traces)),
+            run_pipeline_store(store),
+        ):
+            assert set(result.timings) == {"scan_s", "preprocess_s", "categorize_s", "total_s"}
+            assert result.timings["total_s"] >= 0.0
 
     def test_parallel_matches_serial(self):
         traces = app_runs(1, "a", 3) + app_runs(2, "b", 3) + app_runs(3, "c", 3)

@@ -88,7 +88,7 @@ def test_mos015_fork_mmap_reproduction(tmp_path):
         import functools
         import mmap
 
-        from repro.parallel.executor import parallel_map
+        from repro.parallel.resilient import resilient_imap
 
         def _score(handle: mmap.mmap, row: int) -> int:
             return handle[row]
@@ -97,7 +97,7 @@ def test_mos015_fork_mmap_reproduction(tmp_path):
             fh = open(path, "rb")
             handle = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             worker = functools.partial(_score, handle)
-            return parallel_map(worker, rows)
+            return list(resilient_imap(worker, rows))
         """,
     )
     assert [f.rule_id for f in findings] == ["MOS015"]
@@ -115,7 +115,7 @@ def test_mos015_descriptor_shipping_is_clean(tmp_path):
         runner="""
         import functools
 
-        from repro.parallel.executor import parallel_map
+        from repro.parallel.resilient import resilient_imap
 
         def _score(path: str, row: int) -> int:
             with open(path, "rb") as fh:
@@ -123,7 +123,7 @@ def test_mos015_descriptor_shipping_is_clean(tmp_path):
 
         def run(path: str, rows: list[int]) -> list[int]:
             worker = functools.partial(_score, path)
-            return parallel_map(worker, rows)
+            return list(resilient_imap(worker, rows))
         """,
     )
     assert findings == []
@@ -154,6 +154,38 @@ def test_mos016_ungoverned_stage_reproduction(tmp_path):
     assert "_categorize" in finding.message
     assert "never consults" in finding.message
     assert len(finding.trace) == 2
+
+
+def test_mos016_checks_private_driver_pool_worker(tmp_path):
+    """A private ``_run_pipeline`` driver is an entry too: the worker it
+    hands to ``resilient_imap`` (through ``functools.partial``) must
+    consult the budget."""
+    findings = _lint(
+        tmp_path,
+        "MOS016",
+        pipe="""
+        import contextlib
+        import functools
+        from typing import Iterator
+
+        from repro.parallel.resilient import resilient_imap
+
+        @contextlib.contextmanager
+        def _stage(name: str) -> Iterator[None]:
+            yield
+
+        def _categorize(item: bytes, scale: int) -> int:
+            return len(item) * scale
+
+        def _run_pipeline(items: list[bytes]) -> list[int]:
+            with _stage("categorize"):
+                fn = functools.partial(_categorize, scale=2)
+                return [r for _i, r in resilient_imap(fn, items)]
+        """,
+    )
+    assert [f.rule_id for f in findings] == ["MOS016"]
+    assert "worker of resilient_imap()" in findings[0].message
+    assert "_run_pipeline()" in findings[0].message
 
 
 def test_mos016_transitive_budget_consult_is_clean(tmp_path):

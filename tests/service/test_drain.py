@@ -11,7 +11,6 @@ import http.client
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -263,6 +262,64 @@ class TestGracefulDrain:
         # ...and a fresh incarnation re-queues it from the registry
         successor = MosaicServer(data_dir, port=0)
         assert [j.job_id for j in successor._resumed_at_start] == [queued_id]
+
+    def test_drain_waits_for_the_finished_event_to_be_durable(
+        self, tmp_path, store
+    ):
+        """A job reads ``running`` until its ``finished`` registry
+        append returns, so a drain cannot tear the registry down under
+        that append and lose a job clients already saw settle."""
+        data_dir = tmp_path / "data"
+        server = MosaicServer(data_dir, port=0)
+        gated = _GatedExecute()
+        server._execute = gated
+        appending = threading.Event()
+        release_append = threading.Event()
+        register = server._register
+
+        def gated_register(event):
+            if event["event"] == "finished":
+                appending.set()
+                assert release_append.wait(timeout=60), "append never released"
+            register(event)
+
+        server._register = gated_register
+        drained = threading.Event()
+        graceful_drain = server._graceful_drain
+
+        async def observed_drain():
+            try:
+                await graceful_drain()
+            finally:
+                drained.set()
+
+        server._graceful_drain = observed_drain
+        thread, endpoint = _start(server)
+        try:
+            _status, data = _request(endpoint, "POST", "/jobs", {"store": store})
+            job_id = json.loads(data)["job_id"]
+            assert gated.started.wait(timeout=10)
+            gated.gate.set()
+            assert appending.wait(timeout=10)
+            # the work is over but the finished event is not durable yet
+            assert server.jobs[job_id].status == "running"
+
+            _call_on_loop(server, server.request_drain)
+            assert not drained.wait(timeout=0.5), (
+                "drain returned while the finished event was mid-append"
+            )
+            assert server.jobs[job_id].status == "running"
+        finally:
+            release_append.set()
+            gated.gate.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert drained.is_set()
+        assert server.jobs[job_id].status == "done"
+        # the next incarnation sees the job finished, not re-queued
+        successor = MosaicServer(data_dir, port=0)
+        assert successor._resumed_at_start == []
+        assert successor.jobs[job_id].status == "done"
 
 
 # -- teardown closes every writer cleanly (no loop-handler leaks) ------
